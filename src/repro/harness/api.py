@@ -313,24 +313,26 @@ def notify_run_observers(key: Optional[str], result: "RunResult") -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _build_cached(label: str, mode: InstrumentMode) -> GeneratedWorkload:
-    """Workload build cache, keyed on (profile label, instrument mode).
+def _build_cached(
+    workload: Union[str, WorkloadProfile], mode: InstrumentMode,
+) -> GeneratedWorkload:
+    """Workload build cache, keyed on (label or profile, instrument mode).
 
     ``build_workload`` is deterministic and the result is never mutated
     by a run (every simulator maps its own address space from the
     program's regions), so one build serves a whole ``sweep_policies``
-    grid — each label/mode pair is assembled once, not once per policy.
+    grid — each workload/mode pair is assembled once, not once per
+    policy — and the Fig. 4 useful-work probe beside it.  Profiles are
+    frozen, so seed variants key by value like labels do.
     """
-    return build_workload(profile_by_label(label), mode)
+    return build_workload(profile_by_label(workload), mode)
 
 
 def resolve_workload(request: RunRequest) -> GeneratedWorkload:
     """The built workload a request runs (label/profile/object forms)."""
     workload = request.workload
-    if isinstance(workload, str):
+    if isinstance(workload, (str, WorkloadProfile)):
         return _build_cached(workload, request.mode)
-    if isinstance(workload, WorkloadProfile):
-        return build_workload(workload, request.mode)
     return workload
 
 

@@ -13,14 +13,15 @@ around these.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.hardware_cost import HardwareCost
 from ..analysis.isolation_taxonomy import table_i, verify_probes
 from ..attacks import build_spectre_v1_poc, run_attack
 from ..core.config import CoreConfig, WrpkruPolicy, table_iii_config
+from ..perf.runcache import canonicalize, content_key, memoize
 from ..workloads.instrument import InstrumentMode
-from ..workloads.profiles import ALL_PROFILES, label_of
+from ..workloads.profiles import ALL_PROFILES, WorkloadProfile, label_of
 from .runner import (
     geomean,
     normalized_ipc,
@@ -201,30 +202,53 @@ def fig3_serialization_study(
 # Fig. 4 — overhead breakdown (compiler transformation vs serialization)
 # ---------------------------------------------------------------------------
 
-def _useful_fraction(label: str, mode: InstrumentMode,
-                     sample: int = 20_000) -> float:
+def _useful_fraction(workload: Union[str, WorkloadProfile],
+                     mode: InstrumentMode, sample: int = 20_000) -> float:
     """Fraction of dynamic instructions that are *not* instrumentation.
 
     Instrumented builds execute extra instructions for the same work;
-    comparing raw CPI across modes would credit the padding.  Measured
-    functionally (the architectural path is identical to the pipeline's
-    committed path).
+    comparing raw CPI across modes would credit the padding.  The
+    fraction is a pure function of the probe's inputs, so it is
+    memoized in the run cache beside the runs (same switch, directory
+    and code-fingerprint invalidation): a warm report neither builds
+    the workload nor runs the emulator.
     """
-    from ..isa.emulator import EmulatorLimitExceeded, make_emulator
-    from ..workloads.generator import build_workload
-    from ..workloads.profiles import profile_by_label
+    return memoize(
+        _useful_fraction_key(workload, mode, sample),
+        lambda: _probe_useful_fraction(workload, mode, sample),
+    )
 
-    workload = build_workload(profile_by_label(label), mode)
-    if not workload.protection_pcs:
+
+def _useful_fraction_key(workload: Union[str, WorkloadProfile],
+                         mode: InstrumentMode, sample: int) -> str:
+    """The probe's memo key: its inputs, canonicalized like a run
+    request's, through the run cache's own key derivation."""
+    return content_key(
+        "useful-fraction-v1", canonicalize(workload), canonicalize(mode),
+        sample,
+    )
+
+
+def _probe_useful_fraction(workload: Union[str, WorkloadProfile],
+                           mode: InstrumentMode,
+                           sample: int = 20_000) -> float:
+    """The uncached :func:`_useful_fraction`: measured functionally over
+    the first *sample* instructions (the architectural path is identical
+    to the pipeline's committed path)."""
+    from ..isa.emulator import EmulatorLimitExceeded, make_emulator
+    from .api import _build_cached
+
+    built = _build_cached(workload, mode)
+    if not built.protection_pcs:
         return 1.0
-    marked = workload.protection_pcs
+    marked = built.protection_pcs
     counts = {"protection": 0}
 
     def observe(pc, inst):
         if pc in marked:
             counts["protection"] += 1
 
-    emulator = make_emulator(workload)
+    emulator = make_emulator(built)
     try:
         emulator.run(max_instructions=sample, observer=observe)
     except EmulatorLimitExceeded:

@@ -59,21 +59,24 @@ def _prewarm_task(task) -> bool:
     :class:`~repro.core.schedule.TimingSchedule` — everything a shard
     measurement touches on its first instruction.
     """
-    label, mode_value = task
+    workload, mode_value = task
     from ..core.schedule import shared_schedule
     from ..isa.blockcache import shared_cache
     from .timeshard import _rebuild_cached
 
-    workload, _base = _rebuild_cached(label, mode_value)
-    shared_cache(workload.program)
-    shared_schedule(workload.program)
+    built, _base = _rebuild_cached(workload, mode_value)
+    shared_cache(built.program)
+    shared_schedule(built.program)
     return True
 
 
 def prewarm_pool(
-    label: str, mode_value: str, max_workers: Optional[int] = None,
+    workload, mode_value: str, max_workers: Optional[int] = None,
 ) -> List[Future]:
     """Queue one warmup task per pool worker (best effort, non-blocking).
+
+    *workload* is a profile label or a
+    :class:`~repro.workloads.profiles.WorkloadProfile`.
 
     ``ProcessPoolExecutor`` offers no per-worker targeting, so this
     submits as many tasks as there are workers: an idle pool warms every
@@ -85,7 +88,7 @@ def prewarm_pool(
     """
     pool = get_pool(max_workers)
     return [
-        pool.submit(_prewarm_task, (label, mode_value))
+        pool.submit(_prewarm_task, (workload, mode_value))
         for _ in range(_pool_workers or 1)
     ]
 

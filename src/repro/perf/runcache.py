@@ -14,6 +14,10 @@ points run after run.  The run cache memoizes
 * **Value** — the pickled :class:`~repro.harness.api.RunResult`
   (stats + metadata; only untraced runs are cached, so no collector
   rides along).
+* **Memos** — :func:`memoize` stores deterministic derived values
+  that are not runs (the Fig. 4 useful-work probe) beside them, under
+  keys from the same :func:`content_key` derivation, without touching
+  the run hit/miss counters.
 
 The simulator is deterministic, which is what makes this sound: the
 same key can only ever map to one result.  ``REPRO_CACHE=0`` opts out,
@@ -32,7 +36,7 @@ import os
 import pickle
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 try:
     import fcntl
@@ -121,6 +125,20 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:20]
 
 
+def content_key(*parts) -> str:
+    """SHA-256 of ``(*parts, code_fingerprint())``.
+
+    The one derivation behind every key in the store: *parts* is a
+    version tag followed by canonical primitives (see
+    :func:`canonicalize`), and the trailing fingerprint invalidates
+    every entry on any source edit.  Run keys (:func:`cache_key`) and
+    derived-value memo keys (the Fig. 4 useful-work probe) both come
+    from here."""
+    return hashlib.sha256(
+        repr((*parts, code_fingerprint())).encode()
+    ).hexdigest()
+
+
 def cache_key(request) -> Optional[str]:
     """Content hash of a :class:`~repro.harness.api.RunRequest`.
 
@@ -154,11 +172,31 @@ def cache_key(request) -> Optional[str]:
             canonicalize(request.config),
             shards,
             request.resolved_shard_warmup() if shards > 1 else 0,
-            code_fingerprint(),
         )
     except TypeError:
         return None
-    return hashlib.sha256(repr(canonical).encode()).hexdigest()
+    return content_key(*canonical)
+
+
+def memoize(key: str, compute: Callable[[], object]):
+    """``compute()``, stored in the default run cache under *key*.
+
+    For deterministic values derived from a workload that are not runs
+    (the Fig. 4 useful-work probe): on when the run cache is on, in the
+    same directory, invalidated by the same code fingerprint when *key*
+    comes from :func:`content_key`.  Reads and writes leave the hit/miss
+    counters alone — those count simulations — and no run observer
+    hears of them.  *compute* must never return None, which reads back
+    as "absent".
+    """
+    if not cache_enabled():
+        return compute()
+    cache = default_cache()
+    value = cache.load(key)
+    if value is None:
+        value = compute()
+        cache.put(key, value)
+    return value
 
 
 # -- the store -------------------------------------------------------------
@@ -186,17 +224,23 @@ class RunCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
-    def get(self, key: str):
-        """The cached RunResult for *key*, or None on a miss.
+    def load(self, key: str):
+        """The stored value for *key*, or None; counts nothing.
 
         Unreadable/corrupt entries (killed writer, unpicklable after a
-        refactor) count as misses; the subsequent put overwrites them.
+        refactor) read as absent; the subsequent put overwrites them.
         """
         try:
             with open(self._path(key), "rb") as handle:
-                result = pickle.load(handle)
+                return pickle.load(handle)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
+            return None
+
+    def get(self, key: str):
+        """The cached RunResult for *key*, or None on a miss (counted)."""
+        result = self.load(key)
+        if result is None:
             self.misses += 1
             self._bump("misses")
             return None
@@ -212,14 +256,10 @@ class RunCache:
         itself, so counting it here too would double every miss (one
         hit *or* one miss per job, never both).
         """
-        try:
-            with open(self._path(key), "rb") as handle:
-                result = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            return None
-        self.hits += 1
-        self._bump("hits")
+        result = self.load(key)
+        if result is not None:
+            self.hits += 1
+            self._bump("hits")
         return result
 
     # -- persistent counters ----------------------------------------------

@@ -50,6 +50,7 @@ from ..state import (
     resume_simulator,
     take_checkpoint,
 )
+from ..workloads.profiles import WorkloadProfile
 from .envflag import env_flag, env_int
 from .pool import prewarm_pool, run_longest_first
 
@@ -139,10 +140,12 @@ class ShardJob:
     """Everything one worker needs to measure one shard (picklable).
 
     ``workload_ref`` is ``("label", label, mode_value)`` for canonical
-    workloads — the worker rebuilds the workload (and the checkpoint's
-    base memory image) deterministically instead of receiving multiple
-    megabytes of pickled state — or ``("object", workload)`` for
-    pre-built workload objects, which ship whole.
+    workloads and ``("profile", profile, mode_value)`` for
+    profile-addressed ones (seed variants) — the worker rebuilds the
+    workload (and the checkpoint's base memory image) deterministically
+    instead of receiving multiple megabytes of pickled state — or
+    ``("object", workload)`` for pre-built workload objects, which ship
+    whole.
     """
 
     window: ShardWindow
@@ -179,28 +182,32 @@ class PreparedShards:
 def _workload_ref(request, workload) -> Tuple:
     if isinstance(request.workload, str) and request.workload:
         return ("label", request.workload, request.mode.value)
+    if isinstance(request.workload, WorkloadProfile):
+        return ("profile", request.workload, request.mode.value)
     return ("object", workload)
 
 
 @functools.lru_cache(maxsize=16)
-def _rebuild_cached(label: str, mode_value: str):
-    """Worker-side (label, mode) -> (workload, pristine base image).
+def _rebuild_cached(workload, mode_value: str):
+    """Worker-side (label or profile, mode) -> (workload, pristine base
+    image).
 
-    Per-process memo: the first shard of a run pays the deterministic
-    rebuild, every later shard landing on the same worker reuses it.
+    Per-process memo over the shared build cache: the first shard of a
+    run pays the deterministic rebuild, every later shard landing on
+    the same worker reuses it.
     """
     from ..harness.api import _build_cached
     from ..workloads.instrument import InstrumentMode
 
-    workload = _build_cached(label, InstrumentMode(mode_value))
-    return workload, pristine_image(workload.program.regions)
+    built = _build_cached(workload, InstrumentMode(mode_value))
+    return built, pristine_image(built.program.regions)
 
 
 def _resolve_ref(ref: Tuple):
     """``(workload, base_image_or_None)`` for a :class:`ShardJob` ref."""
-    if ref[0] == "label":
-        return _rebuild_cached(ref[1], ref[2])
-    return ref[1], None
+    if ref[0] == "object":
+        return ref[1], None
+    return _rebuild_cached(ref[1], ref[2])
 
 
 def prepare_shards(request, workload, windows: Sequence[ShardWindow],
@@ -212,8 +219,9 @@ def prepare_shards(request, workload, windows: Sequence[ShardWindow],
     :meth:`~repro.isa.emulator.Emulator.run_fast` walk with a
     :class:`~repro.state.WarmTouch` collector, snapshotting at each
     boundary.  Checkpoint memory is CoW against the pristine base image
-    captured before the first instruction, and — for label-addressed
-    workloads — shipped *detached* from it (dirty pages only).
+    captured before the first instruction, and — for label- and
+    profile-addressed workloads — shipped *detached* from it (dirty
+    pages only).
     """
     from ..isa.emulator import make_emulator
 
@@ -221,7 +229,7 @@ def prepare_shards(request, workload, windows: Sequence[ShardWindow],
     base = emulator.state.memory.snapshot_image()
     warm = WarmTouch()
     ref = _workload_ref(request, workload)
-    detachable = ref[0] == "label"
+    detachable = ref[0] != "object"
     collect_metrics = request.resolved_metrics()
 
     jobs: List[ShardJob] = []
@@ -356,7 +364,7 @@ def prepare_request(request, *, prewarm: bool = False,
         warmup, instructions, shards, request.resolved_shard_warmup()
     )
     ref = _workload_ref(request, workload)
-    if prewarm and len(windows) > 1 and ref[0] == "label":
+    if prewarm and len(windows) > 1 and ref[0] != "object":
         prewarm_pool(ref[1], ref[2], max_workers=max_workers)
     metadata = RunMetadata(
         label=workload.profile.label,

@@ -20,7 +20,7 @@ from repro.harness import (
 )
 from repro.trace import BUCKETS
 from repro.workloads.instrument import InstrumentMode
-from repro.workloads.profiles import ALL_PROFILES
+from repro.workloads.profiles import ALL_PROFILES, seed_variant
 
 FAST = dict(instructions=1500, warmup=300)
 
@@ -218,6 +218,44 @@ class TestWorkloadBuildCache:
         other = _build_cached("557.xz_r (SS)", InstrumentMode.NONE)
         assert first is again
         assert other is not first
+
+    def test_grid_reuses_builds_per_profile_and_mode(self, monkeypatch):
+        from repro.harness.api import _build_cached
+
+        monkeypatch.setenv("REPRO_CACHE", "0")  # every point must build
+        _build_cached.cache_clear()
+        sweep_policies(
+            labels=[seed_variant("557.xz_r (SS)", 1),
+                    seed_variant("505.mcf_r (SS)", 1)],
+            policies=(WrpkruPolicy.SERIALIZED, WrpkruPolicy.SPECMPK),
+            instructions=FAST["instructions"],
+            parallel=False,
+        )
+        info = _build_cached.cache_info()
+        assert info.misses == 2
+        assert info.hits == 2
+
+    def test_profile_key_is_by_value(self):
+        import dataclasses
+
+        from repro.harness.api import _build_cached, resolve_workload
+
+        variant = seed_variant("557.xz_r (SS)", 1)
+        first = _build_cached(variant, InstrumentMode.PROTECTED)
+        # An equal profile built elsewhere is the same key.
+        twin = dataclasses.replace(variant)
+        assert twin is not variant
+        assert _build_cached(twin, InstrumentMode.PROTECTED) is first
+        assert resolve_workload(RunRequest(
+            workload=twin, policy=WrpkruPolicy.SPECMPK,
+        )) is first
+        # Another seed, the canonical label or another mode is not.
+        for workload, mode in (
+            (seed_variant("557.xz_r (SS)", 2), InstrumentMode.PROTECTED),
+            ("557.xz_r (SS)", InstrumentMode.PROTECTED),
+            (variant, InstrumentMode.NONE),
+        ):
+            assert _build_cached(workload, mode) is not first
 
 
 class TestRunWorkloadCompat:

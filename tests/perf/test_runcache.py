@@ -132,6 +132,22 @@ def test_code_fingerprint_invalidates(monkeypatch):
     assert cache_key(_base_request()) != base
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({}, "d2243e60f89f0fe47962253b508d5f033dbbaf08cefb8e0865cc0ec709e5a493"),
+    ({"workload": profile_by_label(LABEL), "fastforward": True},
+     "f93df1257c958c0010724e41cbf34c981f1a1a93606f0d2d72625a39b4b301aa"),
+    ({"time_shards": 2, "metrics": False},
+     "8554a91fe314f7bdf5d2e56bc61656755fad104f4512a6a8c2a72b9faa300afb"),
+], ids=["label", "profile-fastforward", "sharded-nometrics"])
+def test_run_keys_are_pinned(monkeypatch, overrides, key):
+    """``runrequest-v3`` keys are byte-stable under a fixed fingerprint:
+    an edit to the derivation would orphan every stored run."""
+    monkeypatch.setattr(runcache, "code_fingerprint", lambda: "f" * 20)
+    monkeypatch.delenv("REPRO_METRICS", raising=False)
+    monkeypatch.delenv("REPRO_SHARD_WARMUP", raising=False)
+    assert cache_key(_base_request(**overrides)) == key
+
+
 def test_traced_requests_are_not_cacheable():
     assert cache_key(
         _base_request(trace=TraceOptions(enabled=True))
@@ -164,6 +180,15 @@ def test_put_get_stats_clear(tmp_path):
     assert stats["entries"] == 1 and stats["bytes"] > 0
     assert cache.clear() == 1
     assert cache.entries() == 0
+
+
+def test_load_counts_nothing(tmp_path):
+    cache = RunCache(tmp_path)
+    assert cache.load("l" * 64) is None
+    cache.put("l" * 64, 0.75)
+    assert cache.load("l" * 64) == 0.75
+    assert (cache.hits, cache.misses) == (0, 0)
+    assert cache.persistent_counters() == {"hits": 0, "misses": 0}
 
 
 def test_corrupt_entry_is_a_miss(tmp_path):

@@ -34,6 +34,7 @@ from repro.perf.timeshard import (
     fold_outcomes,
     plan_shards,
 )
+from repro.workloads import seed_variant
 
 LABEL = "505.mcf_r (SS)"
 FAST = dict(instructions=6_000, warmup=1_000)
@@ -56,7 +57,8 @@ def request(**overrides) -> RunRequest:
     return RunRequest(**params)
 
 
-def exact_window_reference(instructions: int, warmup: int, config=None):
+def exact_window_reference(instructions: int, warmup: int, config=None,
+                           workload=LABEL):
     """Monolithic run with *exact* budgets (the sharded fold's truth).
 
     The classic ``Simulator.run`` overshoots each budget end by up to
@@ -64,7 +66,7 @@ def exact_window_reference(instructions: int, warmup: int, config=None):
     group); shard windows retire exactly their budget, so the committed
     stream they tile is this run's, not the classic run's.
     """
-    workload = resolve_workload(request())
+    workload = resolve_workload(request(workload=workload))
     sim = Simulator(
         workload.program,
         config or CoreConfig(wrpkru_policy=WrpkruPolicy.SPECMPK),
@@ -223,6 +225,33 @@ def test_load_latency_trace_folds_in_interval_order():
     assert [a for a, _ in sharded.stats.load_latency_trace] == [
         a for a, _ in reference.load_latency_trace
     ]
+
+
+def test_profile_addressed_run_shards_on_the_pool():
+    """Regression: a seed-variant request once shipped its built
+    workload to the pool, whose opcode lambdas do not pickle.  It now
+    ships ``("profile", profile, mode)`` with detached checkpoints, and
+    each worker rebuilds the program through the shared build cache."""
+    from repro.perf.pool import shutdown_pool
+    from repro.perf.timeshard import prepare_request
+
+    variant = seed_variant("520.omnetpp_r (SS)", 1)
+    req = request(workload=variant, time_shards=2)
+    jobs, _metadata, _shards = prepare_request(req)
+    assert [job.workload_ref for job in jobs] == [
+        ("profile", variant, "protected")
+    ] * 2
+    assert all(job.detached for job in jobs)
+    try:
+        sharded = execute_sharded(req, parallel=True, max_workers=1)
+    finally:
+        shutdown_pool()
+    reference = exact_window_reference(**FAST, workload=variant)
+    for field in EXACT_FIELDS:
+        assert getattr(sharded.stats, field) == getattr(reference, field), (
+            field
+        )
+    assert sharded.stats.instructions_retired == FAST["instructions"]
 
 
 # -- results and metrics ----------------------------------------------------

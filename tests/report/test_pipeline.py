@@ -112,6 +112,72 @@ class TestGenerateReport:
         )
 
 
+@pytest.fixture
+def two_label_fig4(monkeypatch):
+    """The report narrowed to a Fig. 4 over two workloads."""
+    from repro.report import pipeline
+
+    spec = next(spec for spec in pipeline._specs() if spec.name == "fig4")
+    monkeypatch.setattr(pipeline, "ARTIFACTS", (dataclasses.replace(
+        spec, labels=("557.xz_r (SS)", "548.exchange2_r (SS)"),
+    ),))
+
+
+def _count_builds_and_emulation(monkeypatch):
+    """Count every workload build and functional-emulator entry."""
+    from collections import Counter
+
+    from repro.harness import api
+    from repro.isa.emulator import Emulator
+    from repro.workloads import generator
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (api, generator):
+        monkeypatch.setattr(module, "build_workload", counted(
+            "build_workload", generator.build_workload,
+        ))
+    for name in ("run", "run_fast", "step"):
+        monkeypatch.setattr(Emulator, name, counted(
+            f"Emulator.{name}", getattr(Emulator, name),
+        ))
+    return calls
+
+
+class TestWarmFig4:
+    def test_warm_report_builds_and_emulates_nothing(
+        self, tmp_path, monkeypatch, two_label_fig4,
+    ):
+        from repro.harness.api import _build_cached
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        calls = _count_builds_and_emulation(monkeypatch)
+        config = _small_config(tmp_path, only={"fig4"})
+        _build_cached.cache_clear()
+        cold, cold_counters = generate_report(config)
+        # 2 labels x 3 modes x 2 repeats, each built once for its run
+        # and its probe; the PROTECTED* probes run the emulator.
+        assert calls["build_workload"] == 12
+        assert calls["Emulator.run"] == 8
+
+        calls.clear()
+        _build_cached.cache_clear()  # as in a fresh process
+        warm, counters = generate_report(config)
+        assert calls == {}
+        assert counters["cache_misses"] == 0
+        assert counters["cache_hits"] == cold_counters["cache_misses"]
+        for name, entry in cold.artifacts.items():
+            assert warm.artifacts[name].content_sha256 == entry.content_sha256
+            assert warm.artifacts[name].metrics == entry.metrics
+
+
 def _manifest_with(value: float, tolerance: float = 0.05) -> Manifest:
     ci = BootstrapCI(
         mean=value, lo=value, hi=value, values=(value,),
