@@ -15,9 +15,10 @@ points run after run.  The run cache memoizes
   (stats + metadata; only untraced runs are cached, so no collector
   rides along).
 * **Memos** — :func:`memoize` stores deterministic derived values
-  that are not runs (the Fig. 4 useful-work probe) beside them, under
-  keys from the same :func:`content_key` derivation, without touching
-  the run hit/miss counters.
+  that are not runs (the Fig. 4 useful-work probe, a report's
+  bootstrap CIs and static artifacts) beside them, under keys from the
+  same :func:`content_key` derivation, without touching the run
+  hit/miss counters.
 
 The simulator is deterministic, which is what makes this sound: the
 same key can only ever map to one result.  ``REPRO_CACHE=0`` opts out,
@@ -31,17 +32,10 @@ import dataclasses
 import enum
 import functools
 import hashlib
-import json
 import os
 import pickle
-import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
 
 from .envflag import env_flag
 
@@ -132,8 +126,8 @@ def content_key(*parts) -> str:
     version tag followed by canonical primitives (see
     :func:`canonicalize`), and the trailing fingerprint invalidates
     every entry on any source edit.  Run keys (:func:`cache_key`) and
-    derived-value memo keys (the Fig. 4 useful-work probe) both come
-    from here."""
+    derived-value memo keys (see :func:`memoize`) both come from
+    here."""
     return hashlib.sha256(
         repr((*parts, code_fingerprint())).encode()
     ).hexdigest()
@@ -181,13 +175,13 @@ def cache_key(request) -> Optional[str]:
 def memoize(key: str, compute: Callable[[], object]):
     """``compute()``, stored in the default run cache under *key*.
 
-    For deterministic values derived from a workload that are not runs
-    (the Fig. 4 useful-work probe): on when the run cache is on, in the
-    same directory, invalidated by the same code fingerprint when *key*
-    comes from :func:`content_key`.  Reads and writes leave the hit/miss
-    counters alone — those count simulations — and no run observer
-    hears of them.  *compute* must never return None, which reads back
-    as "absent".
+    For deterministic values that are not runs (the Fig. 4 useful-work
+    probe, a report's bootstrap CIs and static artifacts): on when the
+    run cache is on, in the same directory, invalidated by the same
+    code fingerprint when *key* comes from :func:`content_key`.  Reads
+    and writes leave the hit/miss counters alone — those count
+    simulations — and no run observer hears of them.  *compute* must
+    never return None, which reads back as "absent".
     """
     if not cache_enabled():
         return compute()
@@ -206,13 +200,15 @@ class RunCache:
     """Pickle-per-key store under one directory.
 
     Hit/miss counters are kept twice: per-process attributes (``hits``
-    / ``misses``) and a persistent ``counters.json`` in the store
+    / ``misses``) and a persistent ``counters.log`` in the store
     directory that accumulates across processes — ``repro cache
     stats`` reports both, so the lifetime effectiveness of the store
     survives short-lived CLI invocations.
     """
 
-    COUNTERS_FILE = "counters.json"
+    COUNTERS_FILE = "counters.log"
+    #: The byte :meth:`_bump` appends to the counter log per lookup.
+    _COUNTER_BYTES = {"hits": b"h", "misses": b"m"}
 
     def __init__(self, directory: Optional[Path] = None) -> None:
         self.directory = Path(
@@ -268,39 +264,40 @@ class RunCache:
         return self.directory / self.COUNTERS_FILE
 
     def persistent_counters(self) -> Dict[str, int]:
-        """Lifetime hit/miss counts accumulated across processes."""
-        try:
-            data = json.loads(self._counters_path().read_text())
-            return {
-                "hits": int(data.get("hits", 0)),
-                "misses": int(data.get("misses", 0)),
-            }
-        except (OSError, ValueError):
-            return {"hits": 0, "misses": 0}
+        """Lifetime hit/miss counts accumulated across processes.
 
-    def _bump(self, field: str) -> None:
-        """Increment one persistent counter.
-
-        The read-modify-write is serialized by an advisory
-        ``fcntl.flock`` on a sidecar lock file — one lock per increment
-        across processes *and* threads (each call opens its own file
-        description, so same-process threads also exclude each other).
-        The value itself is still written via temp-file + ``os.replace``
-        so a killed writer can never leave a torn ``counters.json``.
+        One byte of the counter log per lookup; any other byte is
+        ignored, so a stray or corrupt file reads as whatever valid
+        bytes it happens to hold.
         """
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            lock_path = self._counters_path().with_suffix(".lock")
-            with open(lock_path, "w") as lock:
-                if fcntl is not None:
-                    fcntl.flock(lock, fcntl.LOCK_EX)
-                counters = self.persistent_counters()
-                counters[field] += 1
-                temp = self._counters_path().with_name(
-                    f".counters.{os.getpid()}.{threading.get_ident()}.tmp"
-                )
-                temp.write_text(json.dumps(counters))
-                os.replace(temp, self._counters_path())
+            log = self._counters_path().read_bytes()
+        except OSError:
+            log = b""
+        return {
+            field: log.count(byte)
+            for field, byte in self._COUNTER_BYTES.items()
+        }
+
+    def _bump(self, field: str) -> None:
+        """Increment one persistent counter: append its byte to the log.
+
+        A single ``O_APPEND`` write is atomic with respect to every
+        other appender, thread or process, so no increment is lost
+        and none needs a lock; each one is in the file as soon as the
+        call returns.
+        """
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            try:
+                handle = os.open(self._counters_path(), flags, 0o644)
+            except FileNotFoundError:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                handle = os.open(self._counters_path(), flags, 0o644)
+            try:
+                os.write(handle, self._COUNTER_BYTES[field])
+            finally:
+                os.close(handle)
         except OSError:
             pass  # unwritable store: keep the in-process counts only
 

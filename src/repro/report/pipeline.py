@@ -17,6 +17,13 @@ misses — the property the warm-cache test asserts.  A
 :class:`RunRecorder` subscribes to the harness run observers for the
 duration of each artifact's generation and maps it to the exact
 :class:`~repro.report.ledger.RunRef`\\ s behind it.
+
+What is derived from the code and the runs alone is memoized beside
+them (:func:`~repro.perf.runcache.memoize`): each figure's bootstrap
+CIs, keyed by its series, seed and statistics, and each static
+artifact's ``(metrics, text)``, keyed by its name and generator
+arguments.  A warm rerun therefore reads runs and renders; it neither
+resamples nor re-simulates the Flush+Reload PoC.
 """
 
 from __future__ import annotations
@@ -39,7 +46,13 @@ from typing import (
 from ..harness.api import RunResult, add_run_observer, remove_run_observer
 from ..obs.exporters import write_jsonl
 from ..obs.snapshot import MetricsSnapshot
-from ..perf.runcache import code_fingerprint, default_cache
+from ..perf.runcache import (
+    canonicalize,
+    code_fingerprint,
+    content_key,
+    default_cache,
+    memoize,
+)
 from ..workloads.profiles import labels as all_labels
 from ..workloads.profiles import seed_variant
 from .bootstrap import derive_seed, summarize_series
@@ -378,6 +391,16 @@ class ReportConfig:
         return [spec for spec in ARTIFACTS if spec.name in self.only]
 
 
+def bootstrap_key(
+    series: Dict[str, List[float]], seed: int, statistics: Dict[str, str],
+) -> str:
+    """Memo key of the CIs :func:`summarize_series` gives for these
+    arguments; *seed* derives from the report seed and artifact name."""
+    return content_key(
+        "bootstrap-v1", canonicalize(series), seed, canonicalize(statistics),
+    )
+
+
 def _generate_artifact(
     spec: ArtifactSpec,
     config: ReportConfig,
@@ -394,7 +417,16 @@ def _generate_artifact(
                 seed_variant(label, repeat) for label in spec.labels
             ]
         with RunRecorder() as recorder:
-            metrics, text = spec.generate(workloads, config.instructions)
+            if spec.kind == "static":
+                metrics, text = memoize(
+                    content_key(
+                        "static-artifact-v1", spec.name,
+                        canonicalize(workloads), config.instructions,
+                    ),
+                    lambda: spec.generate(workloads, config.instructions),
+                )
+            else:
+                metrics, text = spec.generate(workloads, config.instructions)
         if repeat == 0:
             # Repeat 0 runs the canonical seeds — its rendering IS the
             # published artifact; later repeats only feed the CIs.
@@ -404,10 +436,11 @@ def _generate_artifact(
         runs.extend(recorder.refs(repeat))
         snapshots.extend(recorder.snapshots())
     atomic_write_text(config.out / spec.filename, canonical_text + "\n")
-    cis = summarize_series(
-        series,
-        derive_seed(config.seed, spec.name),
-        statistics={name: _statistic_for(name) for name in series},
+    seed = derive_seed(config.seed, spec.name)
+    statistics = {name: _statistic_for(name) for name in series}
+    cis = memoize(
+        bootstrap_key(series, seed, statistics),
+        lambda: summarize_series(series, seed, statistics=statistics),
     )
     return ArtifactEntry(
         name=spec.name,

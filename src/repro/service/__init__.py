@@ -8,7 +8,8 @@ across the persistent worker pool in LPT order, deduplicates against
 the content-addressed run cache *before* dispatch, streams results and
 mergeable metrics snapshots back as shards finish, and survives worker
 death: every job-state transition is an atomic rename, so a restarted
-service resumes exactly where the dead one stopped.
+service resumes exactly where the dead one stopped.  A batch without a
+spool keeps the same job state in memory (:class:`MemorySpool`).
 
 Public surface::
 
@@ -38,6 +39,7 @@ from .scheduler import (
 )
 from .spool import (
     JobState,
+    MemorySpool,
     SpoolDir,
     decode_request,
     default_spool_dir,
@@ -49,6 +51,7 @@ __all__ = [
     "BatchHandle",
     "JobState",
     "JobStatus",
+    "MemorySpool",
     "RequestError",
     "SpoolDir",
     "SweepService",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import queue
-import shutil
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -82,7 +81,6 @@ class BatchHandle:
         self._user_hook = None
         self._parallel: Optional[bool] = None
         self._max_workers: Optional[int] = None
-        self._ephemeral = False
         self._lock = threading.Lock()
 
     @property
@@ -97,12 +95,10 @@ class BatchHandle:
         parallel: Optional[bool] = None,
         max_workers: Optional[int] = None,
         on_result=None,
-        ephemeral: bool = False,
     ) -> "BatchHandle":
         self._parallel = parallel
         self._max_workers = max_workers
         self._user_hook = on_result
-        self._ephemeral = ephemeral
         return self
 
     # -- processing --------------------------------------------------------
@@ -169,7 +165,6 @@ class BatchHandle:
             self._thread.join()
         else:
             self._ensure_processed()
-        self._cleanup_ephemeral()
         if raise_on_error and self._errors:
             raise BatchError(self._errors)
         return [self._results.get(job_id) for job_id in self.job_ids]
@@ -200,7 +195,6 @@ class BatchHandle:
             if item is _END:
                 break
             yield item
-        self._cleanup_ephemeral()
 
     # -- poll --------------------------------------------------------------
 
@@ -259,11 +253,3 @@ class BatchHandle:
             if snapshot is not None:
                 merged = merged.merge(snapshot)
         return merged
-
-    # -- ephemeral spool cleanup -------------------------------------------
-
-    def _cleanup_ephemeral(self) -> None:
-        if not self._ephemeral or not self._processed:
-            return
-        self._ephemeral = False
-        shutil.rmtree(self.spool.root, ignore_errors=True)

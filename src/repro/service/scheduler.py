@@ -5,7 +5,8 @@ names into one batch engine:
 
 * the **on-disk spool** (:mod:`repro.service.spool`) gives durable,
   atomically-transitioned job state, so a killed worker or restarted
-  service resumes without recomputing finished runs;
+  service resumes without recomputing finished runs (a batch without
+  one keeps the same state in a :class:`MemorySpool`);
 * the **content-addressed run cache** (:mod:`repro.perf.runcache`)
   dedupes work *before dispatch* — a claimed job whose key is already
   stored completes from the cache without ever reaching a worker;
@@ -22,7 +23,6 @@ submission path via :func:`repro.harness.execute_many`.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -43,7 +43,7 @@ from ..perf.runcache import cache_enabled, default_cache
 from ..perf.timeshard import fold_outcomes, prepare_request, shard_weight
 from ..workloads.instrument import InstrumentMode
 from .batch import BatchHandle
-from .spool import JobState, SpoolDir, decode_request
+from .spool import JobState, MemorySpool, SpoolDir, decode_request
 
 #: Expected serialization overhead per policy, used only to order LPT
 #: submission (longest first).  SERIALIZED drains the pipeline around
@@ -171,7 +171,8 @@ class SweepService:
     One instance per spool; safe to restart — :meth:`serve` first
     requeues jobs a dead worker left in ``running``.  ``max_retries``
     bounds how often a job is redispatched after a worker error before
-    it parks in ``failed``.
+    it parks in ``failed``.  Without *spool* the job state lives in a
+    :class:`MemorySpool` and ends with the process.
     """
 
     def __init__(
@@ -182,7 +183,7 @@ class SweepService:
         max_retries: int = 1,
     ) -> None:
         if spool is None:
-            spool = SpoolDir(tempfile.mkdtemp(prefix="repro-spool-"))
+            spool = MemorySpool()
         elif not isinstance(spool, SpoolDir):
             spool = SpoolDir(spool)
         self.spool = spool.ensure()
@@ -294,14 +295,11 @@ class SweepService:
                 doc = self.spool.claim(job_id)
                 if doc is None:
                     continue  # lost the claim race (another worker)
-                request = decode_request(doc["request"])
-                # Pre-dispatch dedup: the job id is the run-cache key,
-                # so a stored result completes the job with no worker.
+                # Pre-dispatch dedup: every spool names a job by its
+                # run-cache key, so a stored result completes the job
+                # with no worker and no request to decode.
                 if self.cache and cache_enabled():
-                    key = request.cache_key()
-                    cached = (
-                        default_cache().peek(key) if key is not None else None
-                    )
+                    cached = default_cache().peek(job_id)
                     if cached is not None:
                         self.counters["from_cache"] += 1
                         self.spool.complete(
@@ -309,7 +307,7 @@ class SweepService:
                         )
                         settle(job_id, cached, None)
                         continue
-                claimed.append((job_id, doc, request))
+                claimed.append((job_id, doc, decode_request(doc["request"])))
             if not claimed:
                 break
 
@@ -487,8 +485,9 @@ def execute_batch(
     this single submission path.  With *spool* the batch is durable —
     a second submission of the same requests (or a restart after a
     crash) reuses finished jobs instead of recomputing them; without
-    it, an ephemeral spool backs the batch and is removed once the
-    handle completes (run-cache dedup still applies across batches).
+    it, the batch's job state lives in memory (:class:`MemorySpool`)
+    and nothing of it outlives the process (run-cache dedup still
+    applies across batches).
 
     The handle supports all three consumption styles::
 
@@ -506,12 +505,10 @@ def execute_batch(
     partial results (None per failed request) instead of the default
     :class:`~repro.service.batch.BatchError`.
     """
-    ephemeral = spool is None
     service = SweepService(spool, cache=cache, max_retries=max_retries)
     handle = service.submit(list(requests), batch_id=batch_id)
     handle.configure(
         parallel=parallel, max_workers=max_workers, on_result=on_result,
-        ephemeral=ephemeral,
     )
     if background:
         handle.start_background()

@@ -26,6 +26,11 @@ the content-addressed run cache share one canonical identity, which is
 what makes batch deduplication exact — resubmitting a request that any
 earlier batch completed lands on the same job id and the same cache
 entry.
+
+A batch submitted without a spool outlives nothing, so it keeps the
+same documents and state transitions in a :class:`MemorySpool`
+instead: no file is written and nothing is left behind when the batch
+fails or is interrupted.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import dataclasses
 import enum
 import json
 import os
+import threading
 import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -158,6 +164,24 @@ def decode_request(doc: Dict[str, object]) -> RunRequest:
     )
 
 
+def _new_job(request: RunRequest) -> Tuple[str, Dict[str, object]]:
+    """``(job_id, document)`` of a freshly spooled, pending *request*.
+
+    The job id is :meth:`RunRequest.cache_key`; requests without one
+    (and unspoolable ones, see :func:`encode_request`) raise
+    :class:`RequestError`.
+    """
+    job_id = request.cache_key()
+    if job_id is None:
+        raise RequestError(
+            "request has no canonical cache key and cannot be spooled "
+            "(traced run or pre-built workload object)"
+        )
+    doc = encode_request(request)  # validates spoolability
+    return job_id, {"id": job_id, "request": doc, "attempts": 0,
+                    "error": None}
+
+
 # -- the spool directory ----------------------------------------------------
 
 
@@ -203,21 +227,12 @@ class SpoolDir:
         exists in *any* state is not re-created (``created=False``) —
         that is the submission-side half of batch deduplication.
         """
-        job_id = request.cache_key()
-        if job_id is None:
-            raise RequestError(
-                "request has no canonical cache key and cannot be spooled "
-                "(traced run or pre-built workload object)"
-            )
-        doc = encode_request(request)  # validates spoolability
+        job_id, doc = _new_job(request)
         state = self.state_of(job_id)
         if state is not None:
             return job_id, state, False
         self.ensure()
-        _atomic_write_json(
-            self._job_path(JobState.PENDING, job_id),
-            {"id": job_id, "request": doc, "attempts": 0, "error": None},
-        )
+        _atomic_write_json(self._job_path(JobState.PENDING, job_id), doc)
         return job_id, JobState.PENDING, True
 
     def state_of(self, job_id: str) -> Optional[JobState]:
@@ -363,3 +378,124 @@ class SpoolDir:
             path.stem for path in directory.glob("*.json")
             if not path.name.startswith(".")
         )
+
+
+# -- the in-memory spool ----------------------------------------------------
+
+
+class MemorySpool:
+    """The spool of a batch that nothing outlives, held in memory.
+
+    Same methods, state transitions and documents as :class:`SpoolDir`
+    (dicts instead of JSON files), for ``SweepService(spool=None)``:
+    the job files of such a batch would be read back only by the
+    process that wrote them.  One lock stands in for the atomic
+    renames, so a claim is still won by exactly one caller.
+    """
+
+    def __init__(self) -> None:
+        #: job id -> (state, job document)
+        self._jobs: Dict[str, Tuple[JobState, Dict[str, object]]] = {}
+        self._results: Dict[str, Dict[str, object]] = {}
+        self._batches: Dict[str, List[str]] = {}
+        self._lock = threading.Lock()
+
+    def ensure(self) -> "MemorySpool":
+        return self
+
+    def _move(self, job_id: str, source: JobState, target: JobState,
+              doc: Optional[Dict[str, object]] = None,
+              ) -> Optional[Dict[str, object]]:
+        """Move *job_id* from *source* to *target*, replacing its
+        document by *doc* if given; returns the document, or None
+        (nothing moved) when the job is not in *source*."""
+        with self._lock:
+            entry = self._jobs.get(job_id)
+            if entry is None or entry[0] is not source:
+                return None
+            doc = dict(doc if doc is not None else entry[1])
+            self._jobs[job_id] = (target, doc)
+            return dict(doc)
+
+    # -- jobs --------------------------------------------------------------
+
+    def add_job(self, request: RunRequest) -> Tuple[str, JobState, bool]:
+        """See :meth:`SpoolDir.add_job`."""
+        job_id, doc = _new_job(request)
+        with self._lock:
+            entry = self._jobs.get(job_id)
+            if entry is not None:
+                return job_id, entry[0], False
+            self._jobs[job_id] = (JobState.PENDING, doc)
+        return job_id, JobState.PENDING, True
+
+    def state_of(self, job_id: str) -> Optional[JobState]:
+        entry = self._jobs.get(job_id)
+        return entry[0] if entry is not None else None
+
+    def jobs(self, state: JobState) -> List[str]:
+        """Job ids currently in *state*, sorted for determinism."""
+        return sorted(
+            job_id for job_id, (current, _doc) in list(self._jobs.items())
+            if current is state
+        )
+
+    def job_doc(self, job_id: str) -> Optional[Dict[str, object]]:
+        entry = self._jobs.get(job_id)
+        return dict(entry[1]) if entry is not None else None
+
+    def claim(self, job_id: str) -> Optional[Dict[str, object]]:
+        """Move pending → running and return the job document."""
+        return self._move(job_id, JobState.PENDING, JobState.RUNNING)
+
+    def complete(self, job_id: str, payload: Dict[str, object]) -> None:
+        """Store the result payload, then move running → done."""
+        self._results[job_id] = payload
+        self._move(job_id, JobState.RUNNING, JobState.DONE)
+
+    def note_shards(self, job_id: str, done: int, total: int) -> None:
+        """Stamp shard progress on a running job (see SpoolDir)."""
+        with self._lock:
+            entry = self._jobs.get(job_id)
+            if entry is not None and entry[0] is JobState.RUNNING:
+                entry[1].update(shards_done=done, shards_total=total)
+
+    def retry(self, job_id: str, doc: Dict[str, object]) -> None:
+        """Requeue a failed attempt: rewrite the doc, running → pending."""
+        self._move(job_id, JobState.RUNNING, JobState.PENDING, doc)
+
+    def fail(self, job_id: str, doc: Dict[str, object]) -> None:
+        """Retry budget exhausted: record the error, running → failed."""
+        self._move(job_id, JobState.RUNNING, JobState.FAILED, doc)
+
+    def recover(self) -> List[str]:
+        """Requeue every ``running`` job."""
+        recovered = self.jobs(JobState.RUNNING)
+        for job_id in recovered:
+            self._move(job_id, JobState.RUNNING, JobState.PENDING)
+        return recovered
+
+    def result_payload(self, job_id: str) -> Optional[Dict[str, object]]:
+        return self._results.get(job_id)
+
+    def counts(self) -> Dict[str, int]:
+        return {state.value: len(self.jobs(state)) for state in JobState}
+
+    # -- batches -----------------------------------------------------------
+
+    def create_batch(
+        self, job_ids: List[str], batch_id: Optional[str] = None
+    ) -> str:
+        batch_id = batch_id or uuid.uuid4().hex[:12]
+        self._batches[batch_id] = list(job_ids)
+        return batch_id
+
+    def batch_jobs(self, batch_id: str) -> List[str]:
+        """The ordered job-id list of one batch (KeyError if unknown)."""
+        try:
+            return list(self._batches[batch_id])
+        except KeyError:
+            raise KeyError(f"unknown batch {batch_id!r}") from None
+
+    def batch_ids(self) -> List[str]:
+        return sorted(self._batches)

@@ -220,7 +220,7 @@ def test_counters_persist_across_cache_instances(tmp_path):
 
 def test_counters_file_is_not_a_cache_entry(tmp_path):
     cache = RunCache(tmp_path)
-    assert cache.get("m" * 64) is None  # writes counters.json
+    assert cache.get("m" * 64) is None  # appends to the counter log
     assert cache.entries() == 0
 
 
@@ -241,9 +241,8 @@ def test_corrupt_counters_file_is_tolerated(tmp_path):
 
 
 def test_concurrent_bumps_lose_no_increment(tmp_path):
-    """The counters.json read-modify-write is flock-serialized: many
-    threads (standing in for concurrent sweep processes) hammering
-    ``_bump`` must account for every single increment."""
+    """Many threads hammering ``_bump`` must account for every single
+    increment."""
     import threading
 
     cache = RunCache(tmp_path)
@@ -284,6 +283,43 @@ def test_concurrent_distinct_instances_lose_no_increment(tmp_path):
         thread.join()
     assert (RunCache(tmp_path).persistent_counters()["misses"]
             == n_caches * per_cache)
+
+
+_LOOKUP_SCRIPT = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from repro.perf.runcache import RunCache
+
+cache = RunCache(sys.argv[2])
+time.sleep(max(0.0, float(sys.argv[4]) - time.time()))  # start together
+for _ in range(int(sys.argv[3])):
+    assert cache.get("k" * 64) is not None
+    assert cache.get("z" * 64) is None
+"""
+
+
+def test_concurrent_processes_lose_no_increment(tmp_path):
+    """Same property across processes: each appends to one counter log."""
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    RunCache(tmp_path).put("k" * 64, {"ipc": 1.0})
+    n_procs, per_proc = 4, 200
+    start = str(time.time() + 1.0)
+    procs = [
+        subprocess.Popen([
+            sys.executable, "-c", _LOOKUP_SCRIPT, src, str(tmp_path),
+            str(per_proc), start,
+        ])
+        for _ in range(n_procs)
+    ]
+    assert [proc.wait(timeout=60) for proc in procs] == [0] * n_procs
+    assert RunCache(tmp_path).persistent_counters() == {
+        "hits": n_procs * per_proc, "misses": n_procs * per_proc,
+    }
 
 
 def test_cache_stats_cli_reports_lifetime(tmp_path, monkeypatch, capsys):

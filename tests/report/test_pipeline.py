@@ -178,6 +178,136 @@ class TestWarmFig4:
             assert warm.artifacts[name].metrics == entry.metrics
 
 
+@pytest.fixture
+def small_report(monkeypatch, tmp_path):
+    """A Fig. 9 over two workloads plus the Fig. 13 static artifact, on
+    a private run cache."""
+    from repro.report import pipeline
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    specs = {spec.name: spec for spec in pipeline._specs()}
+    monkeypatch.setattr(pipeline, "ARTIFACTS", (
+        dataclasses.replace(
+            specs["fig9"], labels=("557.xz_r (SS)", "548.exchange2_r (SS)"),
+        ),
+        specs["fig13"],
+    ))
+    return _small_config(tmp_path, only={"fig9", "fig13"})
+
+
+def _count_resampling_and_simulation(monkeypatch):
+    """Count bootstrap CIs, Simulator constructions and Fig. 13 runs."""
+    from collections import Counter
+
+    import repro.harness
+    from repro.core.pipeline import Simulator
+    from repro.report import bootstrap
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bootstrap, "bootstrap_ci", counted(
+        "bootstrap_ci", bootstrap.bootstrap_ci,
+    ))
+    monkeypatch.setattr(Simulator, "__init__", counted(
+        "Simulator.__init__", Simulator.__init__,
+    ))
+    monkeypatch.setattr(repro.harness, "fig13_flush_reload", counted(
+        "fig13_flush_reload", repro.harness.fig13_flush_reload,
+    ))
+    return calls
+
+
+def _without_timing(entry: ArtifactEntry) -> dict:
+    """An artifact's ledger entry minus what a cache hit changes: each
+    run's ``from_cache`` flag and wall time."""
+    data = entry.as_dict()
+    for run in data["runs"]:
+        del run["from_cache"], run["wall_seconds"]
+    return data
+
+
+class TestWarmReport:
+    def test_warm_report_resamples_and_simulates_nothing(
+        self, monkeypatch, small_report,
+    ):
+        calls = _count_resampling_and_simulation(monkeypatch)
+        cold, cold_counters = generate_report(small_report)
+        assert calls["bootstrap_ci"] > 0
+        assert calls["fig13_flush_reload"] == 1
+
+        calls.clear()
+        warm, counters = generate_report(small_report)
+        assert calls == {}
+        assert counters["cache_misses"] == 0
+        assert counters["cache_hits"] == cold_counters["cache_misses"]
+        assert warm.artifacts.keys() == cold.artifacts.keys()
+        for name, entry in cold.artifacts.items():
+            assert _without_timing(warm.artifacts[name]) == \
+                _without_timing(entry)
+        assert warm.artifacts["fig9"].metrics  # CIs were compared
+
+    def test_cache_off_recomputes_both_memos(
+        self, monkeypatch, small_report,
+    ):
+        calls = _count_resampling_and_simulation(monkeypatch)
+        cold, _ = generate_report(small_report)
+        cold_calls = dict(calls)
+
+        calls.clear()
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        again, _ = generate_report(small_report)
+        assert calls["bootstrap_ci"] == cold_calls["bootstrap_ci"]
+        assert calls["fig13_flush_reload"] == 1
+        for name, entry in cold.artifacts.items():
+            assert again.artifacts[name].metrics == entry.metrics
+            assert again.artifacts[name].content_sha256 == \
+                entry.content_sha256
+
+    def test_memos_move_no_run_counter(self, small_report):
+        from repro.perf.runcache import default_cache
+
+        cache = default_cache()
+        cold, cold_counters = generate_report(small_report)
+        runs = sum(len(entry.runs) for entry in cold.artifacts.values())
+        assert runs == 12  # 2 labels x 3 policies x 2 repeats
+        # Every lookup is a run: the memo writes added nothing...
+        assert cold_counters["cache_misses"] == runs
+        assert cold_counters["cache_hits"] == 0
+        assert cache.persistent_counters() == {"hits": 0, "misses": runs}
+
+        # ...and neither did the memo reads.
+        _warm, counters = generate_report(small_report)
+        assert (counters["cache_hits"], counters["cache_misses"]) == (runs, 0)
+        assert (cache.hits, cache.misses) == (runs, runs)
+        assert cache.persistent_counters() == {"hits": runs, "misses": runs}
+
+    def test_bootstrap_key_covers_its_inputs(self):
+        from repro.report.bootstrap import derive_seed
+        from repro.report.pipeline import _statistic_for, bootstrap_key
+
+        series = {"specmpk[a]": [1.0, 1.5], "specmpk[geomean]": [1.0, 1.2]}
+        statistics = {name: _statistic_for(name) for name in series}
+        seed = derive_seed(0, "fig9")
+        key = bootstrap_key(series, seed, statistics)
+        assert key == bootstrap_key(dict(series), seed, dict(statistics))
+        changed = [
+            bootstrap_key({**series, "specmpk[a]": [1.0, 1.5000001]},
+                          seed, statistics),
+            bootstrap_key(series, derive_seed(1, "fig9"), statistics),
+            bootstrap_key(series, derive_seed(0, "fig10"), statistics),
+            bootstrap_key(series, seed,
+                          {**statistics, "specmpk[a]": "geomean"}),
+        ]
+        assert len({key, *changed}) == 1 + len(changed)
+
+
 def _manifest_with(value: float, tolerance: float = 0.05) -> Manifest:
     ci = BootstrapCI(
         mean=value, lo=value, hi=value, values=(value,),

@@ -1,5 +1,7 @@
 """Tests for the batch scheduler and execute_batch (repro.service)."""
 
+import tempfile
+
 import pytest
 
 from repro.core import WrpkruPolicy
@@ -78,6 +80,40 @@ class TestExecuteBatch:
         merged = handle.merged_metrics()
         expected = sum(r.stats.instructions_retired for r in results)
         assert merged.counters["core.instructions_retired"] == expected
+
+
+@pytest.fixture
+def empty_tmpdir(tmp_path, monkeypatch):
+    """A fresh ``$TMPDIR``, which :mod:`tempfile` resolves to as well."""
+    directory = tmp_path / "tmpdir"
+    directory.mkdir()
+    monkeypatch.setenv("TMPDIR", str(directory))
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
+
+
+class TestInMemoryBatch:
+    """A batch without ``spool=`` keeps its job state in memory."""
+
+    def test_writes_no_file(self, empty_tmpdir):
+        requests = grid(["557.xz_r (SS)"], [WrpkruPolicy.SPECMPK])
+        during = []
+        handle = execute_batch(requests, on_result=lambda *_: during.append(
+            list(empty_tmpdir.rglob("*"))
+        ))
+        assert handle.wait()[0].stats.ipc > 0
+        assert handle.status()["done"] == 1
+        assert during == [[]]
+        assert list(empty_tmpdir.rglob("*")) == []
+
+    def test_failing_hook_leaves_nothing_behind(self, empty_tmpdir):
+        def hook(index, result, error):
+            raise RuntimeError("hook failed")
+
+        requests = grid(["557.xz_r (SS)"], [WrpkruPolicy.SPECMPK])
+        with pytest.raises(RuntimeError, match="hook failed"):
+            execute_batch(requests, on_result=hook).wait()
+        assert list(empty_tmpdir.iterdir()) == []
 
 
 class TestDedupAcceptance:

@@ -8,6 +8,7 @@ from repro.core import CoreConfig, WrpkruPolicy
 from repro.harness import RequestError, RunRequest, TraceOptions
 from repro.service import (
     JobState,
+    MemorySpool,
     SpoolDir,
     decode_request,
     default_spool_dir,
@@ -72,38 +73,39 @@ class TestRequestRoundTrip:
 
 
 class TestSpoolStateMachine:
-    def test_add_job_uses_cache_key_as_id(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    """Job state transitions; every test runs on the spool fixture."""
+
+    @pytest.fixture
+    def spool(self, tmp_path):
+        return SpoolDir(tmp_path)
+
+    def test_add_job_uses_cache_key_as_id(self, spool):
         job_id, state, created = spool.add_job(REQ)
         assert job_id == REQ.cache_key()
         assert state is JobState.PENDING and created
         assert spool.state_of(job_id) is JobState.PENDING
 
-    def test_resubmission_is_deduplicated(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    def test_resubmission_is_deduplicated(self, spool):
         first = spool.add_job(REQ)
         again = spool.add_job(REQ)
         assert again == (first[0], JobState.PENDING, False)
         assert spool.counts()["pending"] == 1
 
-    def test_claim_is_exclusive(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    def test_claim_is_exclusive(self, spool):
         job_id, _, _ = spool.add_job(REQ)
         doc = spool.claim(job_id)
         assert doc["id"] == job_id
         assert spool.state_of(job_id) is JobState.RUNNING
         assert spool.claim(job_id) is None  # second claimant loses
 
-    def test_complete_persists_payload_then_flips_state(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    def test_complete_persists_payload_then_flips_state(self, spool):
         job_id, _, _ = spool.add_job(REQ)
         spool.claim(job_id)
         spool.complete(job_id, {"answer": 42})
         assert spool.state_of(job_id) is JobState.DONE
         assert spool.result_payload(job_id) == {"answer": 42}
 
-    def test_retry_requeues_with_attempt_count(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    def test_retry_requeues_with_attempt_count(self, spool):
         job_id, _, _ = spool.add_job(REQ)
         doc = spool.claim(job_id)
         doc["attempts"] = 1
@@ -112,8 +114,7 @@ class TestSpoolStateMachine:
         assert spool.state_of(job_id) is JobState.PENDING
         assert spool.job_doc(job_id)["attempts"] == 1
 
-    def test_fail_parks_the_job(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    def test_fail_parks_the_job(self, spool):
         job_id, _, _ = spool.add_job(REQ)
         doc = spool.claim(job_id)
         doc["error"] = "boom"
@@ -121,8 +122,7 @@ class TestSpoolStateMachine:
         assert spool.state_of(job_id) is JobState.FAILED
         assert spool.job_doc(job_id)["error"] == "boom"
 
-    def test_recover_requeues_only_running(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    def test_recover_requeues_only_running(self, spool):
         running, _, _ = spool.add_job(REQ)
         done, _, _ = spool.add_job(
             REQ.replace(policy=WrpkruPolicy.SERIALIZED)
@@ -134,27 +134,81 @@ class TestSpoolStateMachine:
         assert spool.state_of(running) is JobState.PENDING
         assert spool.state_of(done) is JobState.DONE
 
-    def test_jobs_listing_is_sorted(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    def test_jobs_listing_is_sorted(self, spool):
         ids = [
             spool.add_job(REQ.replace(policy=policy))[0]
             for policy in WrpkruPolicy
         ]
         assert spool.jobs(JobState.PENDING) == sorted(ids)
 
+    def test_returned_documents_are_copies(self, spool):
+        job_id, _, _ = spool.add_job(REQ)
+        spool.claim(job_id)["attempts"] = 99
+        assert spool.job_doc(job_id)["attempts"] == 0
+
+    def test_concurrent_claims_have_one_winner(self, spool):
+        import sys
+        import threading
+
+        ids = [
+            spool.add_job(REQ.replace(instructions=500 + index))[0]
+            for index in range(400)
+        ]
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        won = []
+
+        def worker():
+            barrier.wait()
+            for job_id in ids:
+                if spool.claim(job_id) is not None:
+                    won.append(job_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(won) == sorted(ids)
+        assert spool.counts()["running"] == len(ids)
+
+
+class TestMemorySpoolStateMachine(TestSpoolStateMachine):
+    """The same transitions held in memory (``SweepService()``)."""
+
+    @pytest.fixture
+    def spool(self):
+        return MemorySpool()
+
 
 class TestBatches:
-    def test_batch_manifest_round_trips(self, tmp_path):
-        spool = SpoolDir(tmp_path)
+    @pytest.fixture
+    def spool(self, tmp_path):
+        return SpoolDir(tmp_path)
+
+    def test_batch_manifest_round_trips(self, spool):
         job_id, _, _ = spool.add_job(REQ)
         batch_id = spool.create_batch([job_id], "mybatch")
         assert batch_id == "mybatch"
         assert spool.batch_jobs("mybatch") == [job_id]
         assert spool.batch_ids() == ["mybatch"]
 
-    def test_unknown_batch_raises(self, tmp_path):
+    def test_unknown_batch_raises(self, spool):
         with pytest.raises(KeyError):
-            SpoolDir(tmp_path).batch_jobs("nope")
+            spool.batch_jobs("nope")
+
+
+class TestMemorySpoolBatches(TestBatches):
+    @pytest.fixture
+    def spool(self):
+        return MemorySpool()
 
 
 class TestDefaultDir:
