@@ -275,7 +275,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve_parser.add_argument("--poll-interval", type=float, default=1.0)
     serve_parser.add_argument(
         "--parallel", action="store_true", default=None,
-        help="fan jobs out over the worker pool (default: REPRO_PARALLEL)",
+        help="fan jobs out over the worker pool and this process (the "
+             "default with more than one CPU; REPRO_PARALLEL=0 keeps them "
+             "in-process)",
     )
     serve_parser.add_argument("--max-workers", type=int, default=None)
     serve_parser.add_argument("--max-retries", type=int, default=1)

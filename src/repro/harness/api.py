@@ -312,6 +312,28 @@ def notify_run_observers(key: Optional[str], result: "RunResult") -> None:
         hook(key, result)
 
 
+def memoized_result(
+    key: str, stored: "RunResult", wall_seconds: float,
+) -> "RunResult":
+    """The run-cache entry *stored* under *key*, as a cache hit returns it.
+
+    Every path that resolves a run from the cache goes through here —
+    :func:`execute` and the batch scheduler's pre-dispatch dedup — so a
+    memoized run reads ``from_cache`` on either.  Only that flag flips:
+    the stored record keeps the original execution's host/knobs/wall
+    time.  A copy, so the pickled store entry itself is never mutated.
+    An entry that predates provenance stamping gets a fresh record whose
+    wall time is *wall_seconds*, the lookup's.
+    """
+    if stored.provenance is not None:
+        provenance = dataclasses.replace(stored.provenance, from_cache=True)
+    else:
+        provenance = make_record(
+            key, wall_seconds, snapshot=stored.metrics, from_cache=True,
+        )
+    return dataclasses.replace(stored, provenance=provenance)
+
+
 @functools.lru_cache(maxsize=64)
 def _build_cached(
     workload: Union[str, WorkloadProfile], mode: InstrumentMode,
@@ -359,24 +381,9 @@ def execute(request: RunRequest, *, cache: Optional[bool] = None) -> RunResult:
     if key is not None:
         cached = default_cache().get(key)
         if cached is not None:
-            # Flip only the from_cache flag: the stored record keeps
-            # the original execution's host/knobs/wall time.  A copy,
-            # so the pickled store entry itself is never mutated.
-            if cached.provenance is not None:
-                cached = dataclasses.replace(
-                    cached,
-                    provenance=dataclasses.replace(
-                        cached.provenance, from_cache=True
-                    ),
-                )
-            else:  # entry predates provenance stamping
-                cached = dataclasses.replace(
-                    cached,
-                    provenance=make_record(
-                        key, time.perf_counter() - started,
-                        snapshot=cached.metrics, from_cache=True,
-                    ),
-                )
+            cached = memoized_result(
+                key, cached, time.perf_counter() - started
+            )
             notify_run_observers(key, cached)
             return cached
     if request.resolved_time_shards() > 1:

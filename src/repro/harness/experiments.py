@@ -13,19 +13,22 @@ around these.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.hardware_cost import HardwareCost
 from ..analysis.isolation_taxonomy import table_i, verify_probes
 from ..attacks import build_spectre_v1_poc, run_attack
 from ..core.config import CoreConfig, WrpkruPolicy, table_iii_config
+from ..core.stats import SimStats
 from ..perf.runcache import canonicalize, content_key, memoize
 from ..workloads.instrument import InstrumentMode
 from ..workloads.profiles import ALL_PROFILES, WorkloadProfile, label_of
+from .api import RunRequest
 from .runner import (
+    execute_many,
     geomean,
     normalized_ipc,
-    run_workload,
     sweep_policies,
 )
 
@@ -158,6 +161,17 @@ FIG11_WORKLOADS = [
 ]
 
 
+def _run_batch(requests: Dict[object, RunRequest]) -> Dict[object, SimStats]:
+    """Simulate every request as one :func:`execute_many` batch.
+
+    Each experiment below submits all of its runs at once, so they dedupe
+    against the run cache and fan out over the worker pool together;
+    the stats come back under the requests' keys.
+    """
+    results = execute_many(list(requests.values()))
+    return {key: result.stats for key, result in zip(requests, results)}
+
+
 # ---------------------------------------------------------------------------
 # Fig. 3 — speedup of speculative WRPKRU + rename-stall fraction
 # ---------------------------------------------------------------------------
@@ -271,17 +285,25 @@ def fig4_overhead_breakdown(
     """
     if labels is None:
         labels = [profile.label for profile in ALL_PROFILES]
+    labels = list(labels)
+    points = [(label, mode) for label in labels for mode in InstrumentMode]
+    # The probes go first: each builds its workload in this process,
+    # where this process's share of the batch then finds it built.
+    useful = {point: _useful_fraction(*point) for point in points}
+    runs = _run_batch({
+        (label, mode): RunRequest(
+            workload=label, policy=WrpkruPolicy.SERIALIZED, mode=mode,
+            instructions=instructions, time_shards=time_shards,
+        )
+        for label, mode in points
+    })
     rows = []
     for label in labels:
         costs = {}
         for mode in InstrumentMode:
-            stats = run_workload(
-                label, WrpkruPolicy.SERIALIZED, mode=mode,
-                instructions=instructions, time_shards=time_shards,
-            )
-            useful = _useful_fraction(label, mode)
+            stats = runs[label, mode]
             costs[mode] = stats.cycles / (
-                stats.instructions_retired * useful
+                stats.instructions_retired * useful[label, mode]
             )
         base = costs[InstrumentMode.NONE]
         nop = costs[InstrumentMode.PROTECTED_NOP]
@@ -390,29 +412,40 @@ def fig11_rob_pkru_sensitivity(
     1/96, 1/48, 1/24 Active List ratios) plus the NonSecure bound."""
     if labels is None:
         labels = FIG11_WORKLOADS
+    labels = list(labels)
+    configs = {
+        size: CoreConfig(
+            wrpkru_policy=WrpkruPolicy.SPECMPK, rob_pkru_size=size
+        )
+        for size in rob_sizes
+    }
+    request = functools.partial(
+        RunRequest, instructions=instructions, time_shards=time_shards,
+    )
+    requests = {}
+    for label in labels:
+        requests[label, "serialized"] = request(
+            label, WrpkruPolicy.SERIALIZED
+        )
+        for size, config in configs.items():
+            requests[label, size] = request(
+                label, WrpkruPolicy.SPECMPK, config=config
+            )
+        requests[label, "nonsecure"] = request(
+            label, WrpkruPolicy.NONSECURE_SPEC
+        )
+    runs = _run_batch(requests)
     rows = []
     for label in labels:
-        serialized = run_workload(
-            label, WrpkruPolicy.SERIALIZED, instructions=instructions,
-            time_shards=time_shards,
-        )
+        serialized = runs[label, "serialized"]
         by_size = []
-        for size in rob_sizes:
-            config = CoreConfig(
-                wrpkru_policy=WrpkruPolicy.SPECMPK, rob_pkru_size=size
-            )
-            stats = run_workload(
-                label, WrpkruPolicy.SPECMPK, instructions=instructions,
-                config=config, time_shards=time_shards,
-            )
+        for size, config in configs.items():
             ratio = f"1/{config.active_list_size // size}"
-            by_size.append(
-                (f"specmpk_{size} ({ratio})", stats.ipc / serialized.ipc)
-            )
-        nonsecure = run_workload(
-            label, WrpkruPolicy.NONSECURE_SPEC, instructions=instructions,
-            time_shards=time_shards,
-        )
+            by_size.append((
+                f"specmpk_{size} ({ratio})",
+                runs[label, size].ipc / serialized.ipc,
+            ))
+        nonsecure = runs[label, "nonsecure"]
         rows.append(
             Fig11Row(
                 workload=label_of(label),
@@ -540,22 +573,22 @@ def ablation_tlb_deferral(
     """Cost of conservatively stalling TLB-missing accesses (SSV-C5)."""
     if labels is None:
         labels = ["505.mcf_r (SS)", "520.omnetpp_r (SS)", "557.xz_r (SS)"]
+    labels = list(labels)
+    runs = _run_batch({
+        (label, stall): RunRequest(
+            workload=label, policy=WrpkruPolicy.SPECMPK,
+            instructions=instructions,
+            config=CoreConfig(
+                wrpkru_policy=WrpkruPolicy.SPECMPK, stall_on_tlb_miss=stall
+            ),
+            time_shards=time_shards,
+        )
+        for label in labels
+        for stall in (True, False)
+    })
     rows = []
     for label in labels:
-        strict = run_workload(
-            label, WrpkruPolicy.SPECMPK, instructions=instructions,
-            config=CoreConfig(
-                wrpkru_policy=WrpkruPolicy.SPECMPK, stall_on_tlb_miss=True
-            ),
-            time_shards=time_shards,
-        )
-        relaxed = run_workload(
-            label, WrpkruPolicy.SPECMPK, instructions=instructions,
-            config=CoreConfig(
-                wrpkru_policy=WrpkruPolicy.SPECMPK, stall_on_tlb_miss=False
-            ),
-            time_shards=time_shards,
-        )
+        strict, relaxed = runs[label, True], runs[label, False]
         rows.append(
             {
                 "workload": label_of(label),
@@ -705,21 +738,26 @@ def comparison_general_mitigations(
             "520.omnetpp_r (SS)", "500.perlbench_r (SS)",
             "505.mcf_r (SS)", "471.omnetpp (CPI)",
         ]
+    labels = list(labels)
+    dom_config = CoreConfig(
+        wrpkru_policy=WrpkruPolicy.NONSECURE_SPEC, load_security="dom",
+    )
+    requests = {}
+    for label in labels:
+        for policy in (WrpkruPolicy.SERIALIZED, WrpkruPolicy.SPECMPK):
+            requests[label, policy] = RunRequest(
+                workload=label, policy=policy, instructions=instructions,
+            )
+        requests[label, "dom"] = RunRequest(
+            workload=label, policy=WrpkruPolicy.NONSECURE_SPEC,
+            instructions=instructions, config=dom_config,
+        )
+    runs = _run_batch(requests)
     rows = []
     for label in labels:
-        serialized = run_workload(
-            label, WrpkruPolicy.SERIALIZED, instructions=instructions
-        )
-        specmpk = run_workload(
-            label, WrpkruPolicy.SPECMPK, instructions=instructions
-        )
-        dom = run_workload(
-            label, WrpkruPolicy.NONSECURE_SPEC, instructions=instructions,
-            config=CoreConfig(
-                wrpkru_policy=WrpkruPolicy.NONSECURE_SPEC,
-                load_security="dom",
-            ),
-        )
+        serialized = runs[label, WrpkruPolicy.SERIALIZED]
+        specmpk = runs[label, WrpkruPolicy.SPECMPK]
+        dom = runs[label, "dom"]
         rows.append(
             {
                 "workload": label_of(label),
@@ -748,12 +786,17 @@ def motivation_mprotect_vs_mpk(
             "531.deepsjeng_r (SS)", "471.omnetpp (CPI)",
             "453.povray (CPI)", "557.xz_r (SS)",
         ]
+    labels = list(labels)
+    runs = _run_batch({
+        label: RunRequest(
+            workload=label, policy=WrpkruPolicy.SERIALIZED,
+            instructions=instructions,
+        )
+        for label in labels
+    })
     rows = []
     for label in labels:
-        stats = run_workload(
-            label, WrpkruPolicy.SERIALIZED, instructions=instructions
-        )
-        estimate = estimate_mprotect_cost(stats)
+        estimate = estimate_mprotect_cost(runs[label])
         rows.append(
             {
                 "workload": label_of(label),

@@ -24,7 +24,7 @@ from ..core.config import CoreConfig, WrpkruPolicy
 from ..core.stats import SimStats
 from ..obs.progress import ProgressReporter, maybe_reporter
 from ..obs.snapshot import MetricsAccumulator, MetricsSnapshot
-from ..perf.envflag import env_flag
+from ..perf.pool import parallel_enabled
 from ..perf.runcache import default_cache
 from ..workloads.generator import GeneratedWorkload
 from ..workloads.instrument import InstrumentMode
@@ -123,8 +123,10 @@ def execute_many(
     ad-hoc batches, ``sweep_policies`` grids and the ``repro
     submit``/``repro serve`` CLI all share exactly one submission path:
     requests are deduplicated against the content-addressed run cache
-    before dispatch and fan out over the shared worker pool in LPT
-    order when *parallel* (or ``REPRO_PARALLEL``) is on.
+    before dispatch and fan out over the shared worker pool and this
+    process in LPT order unless *parallel* is off (default:
+    :func:`~repro.perf.pool.parallel_enabled` — ``REPRO_PARALLEL``,
+    else more than one CPU).
 
     *cache* disables run-cache dedup and memoization for the batch;
     *spool* makes the batch durable in an on-disk spool directory;
@@ -163,10 +165,11 @@ def sweep_policies(
     """Run every workload under every policy (the Fig. 9 grid).
 
     The workload binary is rebuilt deterministically per run, so all
-    microarchitectures execute identical code.  With *parallel* (or
-    ``REPRO_PARALLEL=1``; ``false``/``no``/``off`` disable) the grid
-    fans out over the shared worker pool
-    (:mod:`repro.perf.pool`), submitting the expensive points first;
+    microarchitectures execute identical code.  The grid is one
+    :func:`execute_many` batch: unless *parallel* is off (default:
+    :func:`~repro.perf.pool.parallel_enabled` — ``REPRO_PARALLEL``,
+    else more than one CPU) it fans out over the shared worker pool
+    (:mod:`repro.perf.pool`) and this process, expensive points first;
     *max_workers* (or ``REPRO_WORKERS``) bounds the pool size.
 
     When *request* is given it acts as the template for every grid
@@ -191,8 +194,7 @@ def sweep_policies(
         labels = [profile.label for profile in ALL_PROFILES]
     labels = list(labels)
     policies = tuple(policies)
-    if parallel is None:
-        parallel = env_flag("REPRO_PARALLEL", default=False)
+    parallel = parallel_enabled(parallel)
     if request is None:
         template = RunRequest(
             workload="", policy=policies[0] if policies else
@@ -232,9 +234,7 @@ def sweep_policies(
     )
     if metrics is not None:
         # Sweep-level telemetry rides in via merge() so it does not
-        # inflate the per-run ``aggregate.runs`` count.  The run-cache
-        # deltas only see hits/misses observed by *this* process (the
-        # parallel path's workers count in their own processes).
+        # inflate the per-run ``aggregate.runs`` count.
         metrics.merge(MetricsSnapshot(
             counters={
                 "perf.sweep.tasks": len(tasks),

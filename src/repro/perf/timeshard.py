@@ -51,8 +51,8 @@ from ..state import (
     take_checkpoint,
 )
 from ..workloads.profiles import WorkloadProfile
-from .envflag import env_flag, env_int
-from .pool import prewarm_pool, run_longest_first
+from .envflag import env_int
+from .pool import parallel_enabled, prewarm_pool, run_longest_first
 
 #: Default detailed-warmup prefix per shard (instructions), clamped to
 #: the request's own warmup budget; ``REPRO_SHARD_WARMUP`` overrides.
@@ -333,16 +333,6 @@ def fold_outcomes(
     return stats, merged
 
 
-def sharded_parallel_default() -> bool:
-    """Shard dispatch is parallel unless ``REPRO_PARALLEL`` disables it.
-
-    The opposite default from the sweep drivers (opt-in there): the
-    only reason to shard one run is to spread it over cores, so an
-    unset environment means "use the pool".
-    """
-    return env_flag("REPRO_PARALLEL", default=True)
-
-
 def prepare_request(request, *, prewarm: bool = False,
                     max_workers: Optional[int] = None):
     """Plan and checkpoint one sharded request: ``(jobs, metadata, K)``.
@@ -386,13 +376,14 @@ def execute_sharded(request, *, parallel: Optional[bool] = None,
 
     The inline counterpart of the service scheduler's shard dispatch:
     plan, one functional checkpoint pass, fan the windows over the
-    shared pool (LPT, heaviest window first), fold in interval order.
+    shared pool (LPT, heaviest window first) unless *parallel* (default:
+    :func:`~repro.perf.pool.parallel_enabled`) is off, fold in interval
+    order.
     """
     from ..harness.api import RunResult
     from ..obs.progress import maybe_reporter
 
-    if parallel is None:
-        parallel = sharded_parallel_default()
+    parallel = parallel_enabled(parallel)
     jobs, metadata, shards = prepare_request(
         request, prewarm=parallel, max_workers=max_workers
     )

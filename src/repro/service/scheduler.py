@@ -11,8 +11,9 @@ names into one batch engine:
   dedupes work *before dispatch* — a claimed job whose key is already
   stored completes from the cache without ever reaching a worker;
 * the **shared worker pool** (:mod:`repro.perf.pool`) fans dispatched
-  jobs across processes with LPT (longest-first) scheduling, streaming
-  each result back the moment its shard finishes.
+  jobs across its workers and this process with LPT (longest-first)
+  scheduling, streaming each result back the moment its shard
+  finishes.
 
 The public entry point is :func:`execute_batch`, which returns a
 :class:`~repro.service.batch.BatchHandle` (poll / stream / await).
@@ -23,6 +24,7 @@ submission path via :func:`repro.harness.execute_many`.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -33,12 +35,12 @@ from ..harness.api import (
     RunRequest,
     RunResult,
     execute,
+    memoized_result,
     notify_run_observers,
 )
 from ..obs.progress import ProgressReporter
 from ..obs.snapshot import MetricsSnapshot
-from ..perf.envflag import env_flag
-from ..perf.pool import run_longest_first
+from ..perf.pool import parallel_enabled, run_longest_first
 from ..perf.runcache import cache_enabled, default_cache
 from ..perf.timeshard import fold_outcomes, prepare_request, shard_weight
 from ..workloads.instrument import InstrumentMode
@@ -88,15 +90,40 @@ def _dispatch(task: Tuple):
     shard_job)`` measures one window of a time-sharded request
     (:mod:`repro.perf.timeshard`) — so a batch of short whole runs and
     a few long sharded ones packs the pool with no idle tails.
-    """
-    if task[0] == "run":
-        return _worker((task[1], task[2]))
-    from ..perf.timeshard import measure_shard
 
-    try:
-        return ("ok", measure_shard(task[1]))
-    except Exception as error:  # noqa: BLE001 - the shard boundary
-        return ("err", f"{type(error).__name__}: {error}")
+    Returns ``(status, value, lookups)``: *lookups* is the ``(pid,
+    hits, misses)`` of the run-cache lookups the task made, which
+    :func:`_count_lookups` adds to the caller's counters when the task
+    ran in a pool worker.
+    """
+    cache = default_cache()
+    hits, misses = cache.hits, cache.misses
+    if task[0] == "run":
+        status, value = _worker((task[1], task[2]))
+    else:
+        from ..perf.timeshard import measure_shard
+
+        try:
+            status, value = "ok", measure_shard(task[1])
+        except Exception as error:  # noqa: BLE001 - the shard boundary
+            status, value = "err", f"{type(error).__name__}: {error}"
+    lookups = (os.getpid(), cache.hits - hits, cache.misses - misses)
+    return status, value, lookups
+
+
+def _count_lookups(lookups: Tuple[int, int, int]) -> None:
+    """Count a pool worker's run-cache lookups as this process's own.
+
+    A worker's lookups reach the persistent counter log from the worker
+    itself, but not this process's :class:`RunCache` hit/miss counts —
+    the ones ``sweep_policies`` and ``generate_report`` report.  A task
+    this process ran itself has counted its lookups already.
+    """
+    pid, hits, misses = lookups
+    if pid != os.getpid():
+        cache = default_cache()
+        cache.hits += hits
+        cache.misses += misses
 
 
 # -- result payloads --------------------------------------------------------
@@ -241,15 +268,15 @@ class SweepService:
         Jobs already ``done`` resolve from their persisted payload
         (resume / cross-batch dedup); pending jobs are claimed, deduped
         against the run cache, and the remainder dispatched — across
-        the shared pool in LPT order with *parallel* (default: the
-        ``REPRO_PARALLEL`` env flag), else inline.  Worker errors
-        consume one retry each until ``max_retries`` is exhausted.
+        the shared pool and this process in LPT order with *parallel*
+        (default: :func:`~repro.perf.pool.parallel_enabled`), else
+        inline.  Worker errors consume one retry each until
+        ``max_retries`` is exhausted.
 
         Returns ``{job_id: RunResult}`` (None for failed jobs);
         *on_result* streams the same outcomes in completion order.
         """
-        if parallel is None:
-            parallel = env_flag("REPRO_PARALLEL", default=False)
+        parallel = parallel_enabled(parallel)
         if job_ids is None:
             job_ids = self.spool.jobs(JobState.PENDING)
         ordered = list(dict.fromkeys(job_ids))
@@ -299,8 +326,12 @@ class SweepService:
                 # run-cache key, so a stored result completes the job
                 # with no worker and no request to decode.
                 if self.cache and cache_enabled():
+                    started = time.perf_counter()
                     cached = default_cache().peek(job_id)
                     if cached is not None:
+                        cached = memoized_result(
+                            job_id, cached, time.perf_counter() - started
+                        )
                         self.counters["from_cache"] += 1
                         self.spool.complete(
                             job_id, result_payload(cached, cached=True)
@@ -374,13 +405,14 @@ class SweepService:
                     slots.append((claim_index, None))
 
             def finish(slot: int, outcome) -> None:
+                status, value, lookups = outcome
+                _count_lookups(lookups)
                 claim_index, shard_index = slots[slot]
                 if shard_index is None:
-                    settle_claim(claim_index, outcome)
+                    settle_claim(claim_index, (status, value))
                     return
                 job_id, _doc, request = claimed[claim_index]
                 ctx = shard_ctx[claim_index]
-                status, value = outcome
                 if status == "ok":
                     ctx["outcomes"].append(value)
                 elif ctx["error"] is None:

@@ -308,6 +308,90 @@ class TestWarmReport:
         assert len({key, *changed}) == 1 + len(changed)
 
 
+def _narrowed(monkeypatch, names):
+    """The report narrowed to *names*, each over two workloads."""
+    from repro.report import pipeline
+
+    specs = {spec.name: spec for spec in pipeline._specs()}
+    monkeypatch.setattr(pipeline, "ARTIFACTS", tuple(
+        dataclasses.replace(
+            specs[name], labels=("557.xz_r (SS)", "548.exchange2_r (SS)"),
+        )
+        for name in names
+    ))
+    return set(names)
+
+
+def _memoized_by_key(entry: ArtifactEntry) -> dict:
+    """An artifact's run keys, each with its ``from_cache`` flag."""
+    return {ref.cache_key: ref.from_cache for ref in entry.runs}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """An affinity mask of two CPUs: the batches default to parallel."""
+    from repro.perf import pool
+
+    monkeypatch.setattr(pool, "available_cpus", lambda: 2)
+    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    pool.shutdown_pool()
+    yield pool
+    pool.shutdown_pool()
+
+
+class TestParallelReport:
+    def test_reused_runs_are_recorded_memoized(self, monkeypatch, tmp_path):
+        """Fig. 10 runs exactly Fig. 3's NonSecure runs, which its batch
+        finds in the cache before dispatch."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        only = _narrowed(monkeypatch, ("fig3", "fig10"))
+        manifest, counters = generate_report(
+            _small_config(tmp_path, only=only)
+        )
+        fig3 = _memoized_by_key(manifest.artifacts["fig3"])
+        fig10 = _memoized_by_key(manifest.artifacts["fig10"])
+        assert len(fig10) == 4  # 2 labels x 2 repeats
+        assert set(fig10) < set(fig3)
+        assert all(fig10.values())
+        assert not any(fig3.values())
+        assert (counters["cache_hits"], counters["cache_misses"]) == (4, 8)
+
+    def test_parallel_report_equals_serial(
+        self, monkeypatch, tmp_path, two_cpus,
+    ):
+        only = _narrowed(monkeypatch, ("fig3", "fig4", "fig11",
+                                       "ablation_tlb"))
+        reports = {}
+        for name, parallel in (("serial", "0"), ("parallel", None)):
+            if parallel is not None:
+                monkeypatch.setenv("REPRO_PARALLEL", parallel)
+            else:
+                monkeypatch.delenv("REPRO_PARALLEL")
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            reports[name] = generate_report(
+                _small_config(tmp_path / name, only=only)
+            )
+            assert (two_cpus._pool is not None) == (parallel is None)
+        serial, serial_counters = reports["serial"]
+        parallel, parallel_counters = reports["parallel"]
+        assert parallel_counters == serial_counters
+        assert parallel.artifacts.keys() == serial.artifacts.keys() == only
+        for name, entry in serial.artifacts.items():
+            ours = parallel.artifacts[name]
+            assert ours.content_sha256 == entry.content_sha256
+            assert ours.metrics == entry.metrics
+            assert _memoized_by_key(ours) == _memoized_by_key(entry)
+
+    def test_warm_report_creates_no_pool(self, small_report, two_cpus):
+        generate_report(small_report)
+        assert two_cpus._pool is not None  # the cold report dispatched
+        two_cpus.shutdown_pool()
+        _warm, counters = generate_report(small_report)
+        assert counters["cache_misses"] == 0
+        assert two_cpus._pool is None
+
+
 def _manifest_with(value: float, tolerance: float = 0.05) -> Manifest:
     ci = BootstrapCI(
         mean=value, lo=value, hi=value, values=(value,),

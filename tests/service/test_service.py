@@ -1,12 +1,13 @@
 """Tests for the batch scheduler and execute_batch (repro.service)."""
 
+import dataclasses
 import tempfile
 
 import pytest
 
 from repro.core import WrpkruPolicy
 from repro.harness import RunRequest, execute_many
-from repro.perf.runcache import default_cache
+from repro.perf.runcache import RunCache, default_cache
 from repro.service import (
     BatchError,
     JobState,
@@ -142,8 +143,41 @@ class TestDedupAcceptance:
         assert all(r.stats.ipc > 0 for r in results)
 
 
+class TestMemoizedResults:
+    def test_warm_batch_returns_only_memoized_results(self, monkeypatch,
+                                                      tmp_path):
+        """Pre-dispatch dedup marks its results memoized, as execute()
+        does: only the from_cache flag differs from the stored record."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        requests = grid(["557.xz_r (SS)"], list(WrpkruPolicy))
+        cold = execute_batch(requests).wait()
+        assert not any(result.provenance.from_cache for result in cold)
+        warm = execute_batch(requests).wait()
+        assert all(result.provenance.from_cache for result in warm)
+        for fresh, memoized in zip(cold, warm):
+            assert dataclasses.replace(
+                memoized.provenance, from_cache=False
+            ) == fresh.provenance
+
+
+class TestPoolEnvironment:
+    def test_workers_write_to_the_current_cache_directory(self, monkeypatch,
+                                                          tmp_path):
+        """Pool workers see a REPRO_CACHE_DIR set after an earlier batch
+        forked them."""
+        monkeypatch.setenv("REPRO_PARALLEL", "1")
+        requests = grid(["557.xz_r (SS)"], list(WrpkruPolicy))
+        for name in ("a", "b"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            execute_batch(requests, max_workers=2).wait()
+            assert RunCache(tmp_path / name).entries() == len(requests)
+
+
 class TestFailureSemantics:
     def _failing_batch(self, monkeypatch, max_retries, spool=None):
+        # The fault is patched into this process, so no job may run in
+        # a pool worker.
+        monkeypatch.setenv("REPRO_PARALLEL", "0")
         real_execute = scheduler_module.execute
         calls = {"bad": 0}
 
